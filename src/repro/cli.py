@@ -1217,7 +1217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from ..errors import DistributionError, SupportError
 
@@ -89,6 +88,8 @@ class PriceDistribution(abc.ABC):
         lo, hi = self.lower, self.upper
         if self.cdf(lo) >= quantile:
             return lo
+        from scipy import optimize
+
         return float(
             optimize.brentq(lambda p: self.cdf(p) - quantile, lo, hi, xtol=1e-12)
         )
@@ -97,6 +98,8 @@ class PriceDistribution(abc.ABC):
         """Return ``S(price) = ∫_lower^price x f_π(x) dx``."""
         if price <= self.lower:
             return 0.0
+        from scipy import integrate
+
         hi = min(price, self.upper)
         value, _abserr = integrate.quad(
             lambda x: x * self.pdf(x), self.lower, hi, limit=200

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from ..core.distributions import PriceDistribution
 from ..errors import DistributionError
@@ -255,6 +254,8 @@ class EquilibriumPriceModel(PriceDistribution):
             lam_hi = self.h_inverse(hi)
         if lam_hi <= lam_lo:
             return total
+
+        from scipy import integrate
 
         def integrand(lam: float) -> float:
             return self.h(lam) * self.arrivals.pdf(lam)

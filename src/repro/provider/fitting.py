@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import FittingError
 from .arrivals import ExponentialArrivals, ParetoArrivals
@@ -199,6 +198,8 @@ def _fit_family(
     starts: Sequence[Tuple[float, ...]],
     bounds: Tuple[np.ndarray, np.ndarray],
 ) -> FitResult:
+    from scipy import optimize
+
     target = hist.density
 
     def unpack(x: np.ndarray):

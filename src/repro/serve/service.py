@@ -38,6 +38,9 @@ from .protocol import (
 
 __all__ = ["ServiceStats", "BidService", "start_server"]
 
+#: Longest request line the daemon reads; longer lines get an error reply.
+MAX_LINE_BYTES = 2**16
+
 
 @dataclass
 class ServiceStats:
@@ -205,13 +208,13 @@ class BidService:
         """Serve one client: a JSON line in, a JSON line out, pipelined."""
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
                 try:
+                    line = await _read_line(reader)
+                    if not line:
+                        break
+                    line = line.strip()
+                    if not line:
+                        continue
                     payload = decode_line(line)
                 except ServeError as exc:
                     self.stats.errors += 1
@@ -236,6 +239,28 @@ class BidService:
                 pass
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """Read one request line; ``b""`` means end of stream.
+
+    A line longer than :data:`MAX_LINE_BYTES` is consumed through its
+    newline and then reported as a :class:`ServeError`, so the next
+    request on the same connection is read from its own first byte.
+    """
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        if oversized:
+            raise ServeError(f"request line exceeds {MAX_LINE_BYTES} bytes")
+        return line
+
+
 async def start_server(
     service: BidService,
     *,
@@ -251,7 +276,9 @@ async def start_server(
     ``ingest`` is given its ``run`` coroutine is scheduled on the same
     loop; cancelling the server task tears both down.
     """
-    server = await asyncio.start_server(service.handle_connection, host, port)
+    server = await asyncio.start_server(
+        service.handle_connection, host, port, limit=MAX_LINE_BYTES
+    )
     if ingest is not None:
         task = asyncio.get_running_loop().create_task(
             ingest.run(max_slots=max_ingest_slots)

@@ -1,8 +1,15 @@
 """The repro-bid command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -239,3 +246,23 @@ class TestChaosCommand:
         assert main(["chaos", str(trace_file), "--kill-workers",
                      "--mapreduce"]) == 1
         assert "exclusive" in capsys.readouterr().err
+
+
+class TestMissingInput:
+    """An unreadable CSV is a one-line error, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["bid", "serve"])
+    def test_missing_csv(self, tmp_path, command):
+        missing = tmp_path / "missing.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", command, str(missing)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(missing) in lines[0]
+        assert "Traceback" not in result.stderr

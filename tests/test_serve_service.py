@@ -156,6 +156,43 @@ class TestTcpTransport:
         assert good["ok"]
         assert service.stats.errors == 1
 
+    def test_oversized_line_gets_an_error_and_the_connection_lives(
+        self, service, grid_request
+    ):
+        wire = json.dumps(request_to_wire(grid_request)).encode() + b"\n"
+        huge = b'{"op":"decide","pad":"' + b"x" * (70 * 1024) + b'"}\n'
+        bad, good = asyncio.run(_roundtrip_lines(service, [huge, wire]))
+        assert not bad["ok"] and "exceeds" in bad["error"]
+        assert good["ok"]
+        assert good["decision"]["price"] == service.handle(grid_request).price
+        assert service.stats.errors == 1
+
+    def test_oversized_line_pipelined_with_a_request(
+        self, service, grid_request
+    ):
+        wire = json.dumps(request_to_wire(grid_request)).encode() + b"\n"
+        huge = b"y" * (200 * 1024) + b"\n"
+
+        async def pipelined():
+            server = await start_server(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(huge + wire)
+                await writer.drain()
+                answers = [json.loads(await reader.readline()) for _ in range(2)]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+            return answers
+
+        bad, good = asyncio.run(pipelined())
+        assert not bad["ok"] and "exceeds" in bad["error"]
+        assert good["ok"]
+        assert service.stats.errors == 1
+
     def test_server_runs_the_ingest_loop(self, state, service):
         async def serve_and_ingest():
             ingest = IngestLoop(state)
