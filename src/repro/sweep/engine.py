@@ -12,14 +12,18 @@ identical to the scalar :mod:`repro.market.fastpath` oracle.
 from __future__ import annotations
 
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import wait as wait_futures
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -31,7 +35,7 @@ import numpy as np
 
 from ..constants import SWEEP_KERNEL, EnvVarError
 from ..core.types import JobSpec, Strategy, normalize_strategy
-from ..errors import MarketError
+from ..errors import MarketError, SweepExecutionError
 from . import cache as _cache
 from . import compiled as _compiled
 from .kernels import (
@@ -49,9 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..resilience.execution import (
         BackoffPolicy,
         ExecutionResult,
+        ItemFailure,
         SweepJournal,
     )
     from ..resilience.faults import FaultInjector, WorkerFaults
+    from ..scheduler import SchedulerStats
 
 __all__ = ["map_traces", "run_sweep"]
 
@@ -162,10 +168,10 @@ def map_traces(
     order.  ``max_workers=None`` (or fewer than two items) runs serially;
     ``executor`` chooses ``"thread"`` or ``"process"`` fan-out.
 
-    This is the trace-level fan-out primitive shared by :func:`run_sweep`
-    and the repetition loops of the heavier experiments (e.g. the
-    MapReduce cluster backtests, which cannot be expressed as
-    single-request kernels).
+    This is the fan-out primitive of the repetition loops of the heavier
+    experiments (e.g. the MapReduce cluster backtests, which cannot be
+    expressed as single-request kernels); :func:`run_sweep` cuts and
+    runs its own shards.
 
     The resilience options delegate to
     :func:`repro.resilience.execution.run_items`: failing items are
@@ -329,6 +335,186 @@ def _failure_placeholder(n_bids: int) -> dict:
     }
 
 
+#: Journal keys: ``rows:lo:hi`` names a finished shard of rows
+#: ``[lo, hi)``; ``trace:i`` records of older journals read as one row.
+_JOURNAL_KEY = re.compile(r"rows:(\d+):(\d+)|trace:(\d+)")
+
+
+def _journal_spans(finished: dict, n_traces: int) -> Dict[Tuple[int, int], dict]:
+    """Journaled shard results keyed by their ``(lo, hi)`` row span.
+
+    Records are taken in row order, skipping any that overlaps one
+    already taken, so the returned spans are disjoint.
+    """
+    spans = []
+    for key, payload in finished.items():
+        match = _JOURNAL_KEY.fullmatch(key)
+        if match is None:
+            continue
+        lo, hi, row = match.groups()
+        span = (int(row), int(row) + 1) if row is not None else (int(lo), int(hi))
+        spans.append((span, payload))
+    covered = np.zeros(n_traces, dtype=bool)
+    taken = {}
+    for (lo, hi), payload in sorted(spans, key=lambda item: item[0]):
+        if 0 <= lo < hi <= n_traces and not covered[lo:hi].any():
+            covered[lo:hi] = True
+            taken[(lo, hi)] = _deserialize_kernel_result(payload)
+    return taken
+
+
+def _cut_spans(rows: np.ndarray, n_shards: int) -> List[Tuple[int, int]]:
+    """Cut sorted row indices into about ``n_shards`` ``(lo, hi)`` spans
+    of contiguous rows; a gap (rows served from a journal) always cuts."""
+    spans: List[Tuple[int, int]] = []
+    if not rows.size:
+        return spans
+    for piece in np.array_split(rows, min(n_shards, rows.size)):
+        breaks = np.flatnonzero(np.diff(piece) != 1) + 1
+        for run in np.split(piece, breaks):
+            spans.append((int(run[0]), int(run[-1]) + 1))
+    return spans
+
+
+class _Failed(NamedTuple):
+    """One failed shard attempt.  ``exc`` is the exception itself when
+    it was raised in this process (so a strict run can chain it)."""
+
+    error_type: str
+    message: str
+    exc: Optional[BaseException] = None
+
+    @classmethod
+    def of(cls, exc: BaseException) -> "_Failed":
+        return cls(type(exc).__name__, str(exc), exc)
+
+
+def _run_in_process(
+    wave: List[Tuple[int, int]],
+    shard_args: Callable[[int, int], Tuple[Any, ...]],
+    *,
+    pool: Optional[ThreadPoolExecutor],
+    timeout: Optional[float],
+    catch: bool,
+    journal: "Optional[SweepJournal]",
+) -> list:
+    """Run each span of ``wave`` once in this process — inline, or on
+    ``pool`` — and return one kernel result or :class:`_Failed` per span.
+
+    With ``catch=False`` a shard's exception propagates unchanged (the
+    plain, non-resilient run).  Finished spans are journaled as they
+    complete.
+    """
+    futures = (
+        [pool.submit(_run_kernel_chunk, shard_args(lo, hi)) for lo, hi in wave]
+        if pool is not None
+        else None
+    )
+    outcomes: list = []
+    for k, (lo, hi) in enumerate(wave):
+        try:
+            if futures is None:
+                result = _run_kernel_chunk(shard_args(lo, hi))
+            elif not wait_futures([futures[k]], timeout=timeout).done:
+                # The thread cannot be killed; its late result is dropped.
+                futures[k].cancel()
+                outcomes.append(
+                    _Failed("TimeoutError", f"no result within {timeout:g}s")
+                )
+                continue
+            else:
+                result = futures[k].result()
+        except Exception as exc:
+            if not catch:
+                raise
+            outcomes.append(_Failed.of(exc))
+            continue
+        if journal is not None:
+            journal.record(f"rows:{lo}:{hi}", _serialize_kernel_result(result))
+        outcomes.append(result)
+    return outcomes
+
+
+def _run_bisecting(
+    run_wave: Callable[[List[Tuple[int, int]]], list],
+    spans: List[Tuple[int, int]],
+    *,
+    retries: int,
+    backoff: "Optional[BackoffPolicy]",
+    strict: bool,
+) -> "Tuple[Dict[Tuple[int, int], dict], List[ItemFailure]]":
+    """Run row ``spans`` to completion, isolating failures by bisection.
+
+    ``run_wave`` runs each span of a wave once on some backend and
+    returns one kernel result or :class:`_Failed` per span.  A failed
+    span of several rows is split in half and both halves join the next
+    wave, so with nothing failing this is one wave and costs nothing,
+    and a bad row costs O(log n) extra shard runs.  Only a failed
+    single-row span spends the ``retries`` budget (after the ``backoff``
+    delay); once exhausted the row becomes an
+    :class:`~repro.resilience.execution.ItemFailure` — or, with
+    ``strict=True``, raises :class:`~repro.errors.SweepExecutionError`.
+    Rows are independent in every kernel, so a half re-run alone
+    returns exactly the rows it returned inside its parent.
+    """
+    done: Dict[Tuple[int, int], dict] = {}
+    failures: list = []
+    row_failures: Dict[int, int] = {}
+    wave = list(spans)
+    while wave:
+        again = [row_failures[lo] for lo, hi in wave if lo in row_failures]
+        if again:
+            if backoff is None:
+                from ..resilience.execution import BackoffPolicy
+
+                backoff = BackoffPolicy()
+            delay = backoff.delay(max(again) - 1)
+            if delay > 0:
+                time.sleep(delay)
+        next_wave: List[Tuple[int, int]] = []
+        for (lo, hi), outcome in zip(wave, run_wave(wave)):
+            if not isinstance(outcome, _Failed):
+                done[(lo, hi)] = outcome
+                continue
+            if hi - lo > 1:
+                mid = (lo + hi) // 2
+                next_wave += [(lo, mid), (mid, hi)]
+                continue
+            attempts = row_failures[lo] = row_failures.get(lo, 0) + 1
+            if attempts <= retries:
+                next_wave.append((lo, hi))
+                continue
+            from ..resilience.execution import ItemFailure
+
+            failure = ItemFailure(
+                index=lo,
+                label=f"trace {lo}",
+                error_type=outcome.error_type,
+                message=outcome.message,
+                attempts=attempts,
+            )
+            if strict:
+                raise SweepExecutionError(
+                    f"work item failed permanently: {failure}"
+                ) from outcome.exc
+            failures.append(failure)
+        wave = next_wave
+    return done, sorted(failures, key=lambda f: f.index)
+
+
+def _merged_scheduler_stats(parts: list, reused_rows: int) -> "SchedulerStats":
+    """One :class:`~repro.scheduler.SchedulerStats` over every wave's
+    pool run; ``reused`` counts rows served from the journal."""
+    from ..scheduler import SchedulerStats
+
+    totals: Dict[str, int] = {}
+    for part in parts:
+        for name, value in part.as_dict().items():
+            totals[name] = totals.get(name, 0) + value
+    totals["reused"] = reused_rows
+    return SchedulerStats(**totals)
+
+
 def run_sweep(
     traces: Union[object, Sequence[object]],
     bids: Union[float, Sequence[float], np.ndarray],
@@ -371,30 +557,34 @@ def run_sweep(
     start_slots:
         Slot offset(s) applied per trace before simulation.
     max_workers / executor:
-        Optional trace-level fan-out: ``"thread"`` uses a
-        ``concurrent.futures`` thread pool, ``"process"`` routes through
-        the fault-tolerant work-stealing scheduler
+        Optional trace-level fan-out: ``"thread"`` runs ``max_workers``
+        shards on a ``concurrent.futures`` thread pool, ``"process"``
+        routes about ``4 * max_workers`` shards through the
+        fault-tolerant work-stealing scheduler
         (:func:`repro.scheduler.run_shards`) — dynamic shard dispatch,
         straggler speculation, crash respawn and poison-shard
         quarantine, with results bitwise identical to a serial run.
+        A serial run is one shard.
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`; trace
         ``i`` is perturbed with ``faults.derive(i)`` before simulation,
         so fault-injected sweeps stay reproducible per root seed.
     retries / backoff / item_timeout / strict / journal:
-        Resilient execution (any non-default value activates it): each
-        trace becomes an isolated work item, retried with capped
-        exponential backoff and bounded by a per-item timeout.  With
-        ``strict=False`` permanent failures land in
-        ``SweepReport.failures`` (their rows become NaN placeholders)
+        Resilient execution.  The shards are cut exactly as in a plain
+        run, so with nothing failing resilience costs nothing.  A shard
+        that fails is split in half and both halves re-run, until the
+        failing trace sits alone in a one-row shard; only that shard is
+        retried, ``retries`` more times after a capped exponential
+        ``backoff`` delay.  ``item_timeout`` bounds each shard run (on
+        the process path a worker past it is killed and respawned).
+        With ``strict=False`` a trace that still fails lands in
+        ``SweepReport.failures`` (its row becomes a NaN placeholder)
         instead of raising
         :class:`~repro.errors.SweepExecutionError`.  ``journal`` (a path
         or :class:`~repro.resilience.execution.SweepJournal`) persists
-        finished traces so an interrupted sweep resumes without
-        recomputing them.  On the process path ``retries`` bounds the
-        scheduler's per-shard failure budget (``backoff`` does not apply
-        — recovery is immediate re-dispatch) and ``item_timeout`` kills
-        and respawns a worker whose shard exceeds it.
+        finished shards under ``rows:lo:hi`` keys, so an interrupted
+        sweep resumes by running only the rows no record covers
+        (``trace:i`` records of older journals still count).
     worker_faults:
         Optional :class:`~repro.resilience.faults.WorkerFaults` —
         seeded process-level chaos (worker kills, stalls, slow starts)
@@ -408,6 +598,16 @@ def run_sweep(
         Per-cell outcome arrays, bitwise identical to the fastpath
         oracle, plus work/cache counters.
     """
+    if executor not in ("thread", "process"):
+        raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
+    if worker_faults is not None and executor != "process":
+        raise ValueError("worker_faults requires executor='process'")
+    if retries < 0:
+        raise SweepExecutionError(f"retries must be >= 0, got {retries!r}")
+    if item_timeout is not None and not item_timeout > 0:
+        raise SweepExecutionError(
+            f"item_timeout must be positive, got {item_timeout!r}"
+        )
     strategy = normalize_strategy(strategy)
     if not strategy.sweepable:
         raise ValueError(
@@ -443,192 +643,164 @@ def run_sweep(
     hits0, misses0 = _cache.distribution_cache_stats()
     n_cols = 1 if pair_bids else int(kernel_bids.shape[-1])
 
-    if worker_faults is not None and executor != "process":
-        raise ValueError("worker_faults requires executor='process'")
     resilient = (
         retries > 0 or item_timeout is not None or journal is not None or not strict
     )
-    chunks: List[np.ndarray]
-    if resilient:
-        # One trace per work item so a failure (or a journal hit) is
-        # isolated to exactly one row of the report.
-        chunks = [np.asarray([i]) for i in range(n_traces)]
-    elif max_workers is not None and max_workers > 1 and n_traces > 1:
-        # Process fan-out goes through the work-stealing scheduler, so
-        # cut more shards than workers: a slow worker then holds back
-        # one small shard, not a statically assigned 1/W of the sweep.
-        n_chunks = (
-            min(n_traces, max(2, 4 * max_workers))
-            if executor == "process"
-            else min(max_workers, n_traces)
-        )
-        bounds = np.array_split(np.arange(n_traces), n_chunks)
-        chunks = [idx for idx in bounds if idx.size]
-    else:
-        chunks = [np.arange(n_traces)]
-
-    # Chunks cross a process boundary exactly when the scheduler pool
+    workers = max_workers if max_workers is not None and max_workers > 1 else 1
+    # Process fan-out goes through the work-stealing scheduler, so cut
+    # more shards than workers: a slow worker then holds back one small
+    # shard, not a statically assigned 1/W of the sweep.
+    n_shards = (
+        max(2, 4 * workers) if executor == "process" and workers > 1 else workers
+    )
+    # Shards cross a process boundary exactly when the scheduler pool
     # will actually be used; only then is the price stack worth sharing
     # (and only then do worker-local cache counters need merging back).
-    if resilient:
-        out_of_process = executor == "process" and (
-            (max_workers is not None and max_workers > 1)
-            or item_timeout is not None
-            or worker_faults is not None
-        )
-    else:
-        out_of_process = executor == "process" and (
-            (
-                max_workers is not None
-                and max_workers > 1
-                and len(chunks) > 1
+    out_of_process = executor == "process" and (
+        (workers > 1 and n_traces > 1)
+        or item_timeout is not None
+        or worker_faults is not None
+    )
+
+    done: Dict[Tuple[int, int], dict] = {}
+    if journal is not None:
+        from ..resilience.execution import SweepJournal
+
+        if not isinstance(journal, SweepJournal):
+            # Non-durable on purpose: the sweep journal is a resume
+            # optimization — losing trailing records after a crash
+            # only re-runs those cells, it never corrupts results.
+            journal = SweepJournal(
+                journal,
+                fsync=False,
+                signature={
+                    "strategy": strategy.value,
+                    "execution_time": job.execution_time,
+                    "recovery_time": recovery,
+                    "slot_length": job.slot_length,
+                    "pair_bids": pair_bids,
+                    "bids": [float(b) for b in bid_values],
+                    "n_traces": n_traces,
+                },
             )
-            or worker_faults is not None
-        )
+        done = _journal_spans(journal.load(), n_traces)
+    # Spans served from the journal: their cache deltas were spent in an
+    # earlier run.
+    reused = set(done)
+    todo = np.ones(n_traces, dtype=bool)
+    for lo, hi in done:
+        todo[lo:hi] = False
+    spans = _cut_spans(np.flatnonzero(todo), n_shards)
 
     stack: Optional[SharedPriceStack] = None
+    pool: Optional[ThreadPoolExecutor] = None
+    sched_parts: list = []
     try:
         if out_of_process:
             # Zero-copy fan-out: the (T, S) matrix and n_valid live in one
             # shared-memory segment; workers get (name, shape, row-bounds).
-            # Retry rounds and journal-resumed runs reuse the same segment.
+            # Bisection waves and journal-resumed runs reuse the segment.
             stack = SharedPriceStack(matrix, n_valid)
 
-        args = []
-        for idx in chunks:
-            chunk_bids = kernel_bids[idx] if pair_bids else kernel_bids
+        def shard_args(lo: int, hi: int) -> Tuple[Any, ...]:
             if stack is not None:
-                payload = ("shm", stack.descriptor, int(idx[0]), int(idx[-1]) + 1)
+                payload: Tuple[Any, ...] = ("shm", stack.descriptor, lo, hi)
             else:
-                payload = ("inline", matrix[idx], n_valid[idx])
-            args.append(
-                (
-                    strategy.value,
-                    payload,
-                    chunk_bids,
-                    job.execution_time,
-                    recovery,
-                    job.slot_length,
-                )
+                payload = ("inline", matrix[lo:hi], n_valid[lo:hi])
+            return (
+                strategy.value,
+                payload,
+                kernel_bids[lo:hi] if pair_bids else kernel_bids,
+                job.execution_time,
+                recovery,
+                job.slot_length,
             )
 
-        failures = ()
-        reused: frozenset = frozenset()
-        sched_stats = None
-        started = time.perf_counter()
-        if resilient and journal is not None:
-            from ..resilience.execution import SweepJournal
-
-            if not isinstance(journal, SweepJournal):
-                # Non-durable on purpose: the sweep journal is a resume
-                # optimization — losing trailing records after a crash
-                # only re-runs those cells, it never corrupts results.
-                journal = SweepJournal(
-                    journal,
-                    fsync=False,
-                    signature={
-                        "strategy": strategy.value,
-                        "execution_time": job.execution_time,
-                        "recovery_time": recovery,
-                        "slot_length": job.slot_length,
-                        "pair_bids": pair_bids,
-                        "bids": [float(b) for b in bid_values],
-                        "n_traces": n_traces,
-                    },
-                )
         if out_of_process:
             # The single process-fan-out path: the work-stealing
             # scheduler pool (dynamic dispatch, straggler speculation,
-            # crash respawn, poison-shard quarantine).  ``retries``
-            # becomes the shard-failure budget; ``item_timeout`` the
+            # crash respawn, poison-shard quarantine).  A resilient run
+            # gives each shard one attempt — bisection, not the pool,
+            # decides what a failure costs — and ``item_timeout`` is the
             # per-shard deadline after which a stuck worker is killed.
             from ..scheduler import run_shards
 
-            sched = run_shards(
-                _run_kernel_chunk,
-                args,
-                max_workers=max_workers,
-                keys=(
-                    [f"trace:{i}" for i in range(n_traces)]
-                    if resilient
-                    else None
-                ),
-                labels=(
-                    [f"trace {i}" for i in range(n_traces)]
-                    if resilient
-                    else None
-                ),
-                journal=journal if resilient else None,
-                serialize=_serialize_kernel_result,
-                deserialize=_deserialize_kernel_result,
-                strict=strict,
-                max_shard_failures=(retries + 1) if resilient else None,
-                shard_timeout=item_timeout,
-                worker_faults=worker_faults,
-            )
-            failures = sched.failures
-            reused = frozenset(sched.reused)
-            sched_stats = sched.stats
-            results = [
-                r if r is not None else _failure_placeholder(n_cols)
-                for r in sched.results
-            ]
-        elif resilient:
-            execution = map_traces(
-                _run_kernel_chunk,
-                args,
-                max_workers=max_workers,
-                executor=executor,
-                retries=retries,
-                backoff=backoff,
-                timeout=item_timeout,
-                strict=strict,
-                labels=[f"trace {i}" for i in range(n_traces)],
-                journal=journal,
-                keys=[f"trace:{i}" for i in range(n_traces)],
-                serialize=_serialize_kernel_result,
-                deserialize=_deserialize_kernel_result,
-                return_failures=True,
-            )
-            failures = execution.failures
-            reused = frozenset(execution.reused)
-            results = [
-                r if r is not None else _failure_placeholder(n_cols)
-                for r in execution.results
-            ]
+            def run_wave(wave: List[Tuple[int, int]]) -> list:
+                sched = run_shards(
+                    _run_kernel_chunk,
+                    [shard_args(lo, hi) for lo, hi in wave],
+                    max_workers=max_workers,
+                    keys=[f"rows:{lo}:{hi}" for lo, hi in wave],
+                    labels=[f"rows [{lo}, {hi})" for lo, hi in wave],
+                    journal=journal,
+                    serialize=_serialize_kernel_result,
+                    deserialize=_deserialize_kernel_result,
+                    strict=not resilient,
+                    max_shard_failures=1 if resilient else None,
+                    shard_timeout=item_timeout,
+                    worker_faults=worker_faults,
+                )
+                sched_parts.append(sched.stats)
+                reused.update(wave[i] for i in sched.reused)
+                failed = {
+                    f.index: _Failed(f.error_type, f.message)
+                    for f in sched.failures
+                }
+                return [failed.get(i, r) for i, r in enumerate(sched.results)]
+
         else:
-            results = map_traces(
-                _run_kernel_chunk, args, max_workers=max_workers, executor=executor
-            )
+            # A deadline needs a pool even for a serial run, so this
+            # thread can give up on a stuck shard instead of blocking.
+            if spans and (
+                (executor == "thread" and workers > 1 and n_traces > 1)
+                or item_timeout is not None
+            ):
+                pool = ThreadPoolExecutor(max_workers=workers)
+
+            def run_wave(wave: List[Tuple[int, int]]) -> list:
+                return _run_in_process(
+                    wave,
+                    shard_args,
+                    pool=pool,
+                    timeout=item_timeout,
+                    catch=resilient,
+                    journal=journal,
+                )
+
+        started = time.perf_counter()
+        computed, failures = _run_bisecting(
+            run_wave, spans, retries=retries, backoff=backoff, strict=strict
+        )
         kernel_seconds = time.perf_counter() - started
     finally:
+        if pool is not None:
+            pool.shutdown()
         if stack is not None:
             stack.close()
 
+    pieces = dict(done)
+    pieces.update(computed)
+    for failure in failures:
+        pieces[(failure.index, failure.index + 1)] = _failure_placeholder(n_cols)
+    results = [pieces[span] for span in sorted(pieces)]
+    sched_stats = (
+        _merged_scheduler_stats(sched_parts, sum(hi - lo for lo, hi in reused))
+        if out_of_process
+        else None
+    )
     merged = {
         key: np.concatenate([r[key] for r in results], axis=0) for key in _FIELDS
     }
     slots = int(sum(r["slots_simulated"] for r in results))
     hits1, misses1 = _cache.distribution_cache_stats()
-    # In-process chunks already moved the parent counters; process-pool
-    # chunks report their own worker-local deltas (journal-reused items
+    # In-process shards already moved the parent counters; process-pool
+    # shards report their own worker-local deltas (journal-reused spans
     # excluded — their recorded deltas were spent in an earlier run).
     worker_hits = worker_misses = 0
     if out_of_process:
-        worker_hits = int(
-            sum(
-                r.get("cache_hits", 0)
-                for i, r in enumerate(results)
-                if i not in reused
-            )
-        )
-        worker_misses = int(
-            sum(
-                r.get("cache_misses", 0)
-                for i, r in enumerate(results)
-                if i not in reused
-            )
-        )
+        fresh = [r for span, r in computed.items() if span not in reused]
+        worker_hits = int(sum(r.get("cache_hits", 0) for r in fresh))
+        worker_misses = int(sum(r.get("cache_misses", 0) for r in fresh))
     counters = SweepCounters(
         n_traces=n_traces,
         n_bids=n_cols,
@@ -648,6 +820,6 @@ def run_sweep(
         recovery_time_used=merged["recovery_time_used"],
         interruptions=merged["interruptions"],
         counters=counters,
-        failures=failures,
+        failures=tuple(failures),
         scheduler=sched_stats,
     )

@@ -38,7 +38,7 @@ class TestPartialReport:
         def flaky(args):
             prices = engine._resolve_payload(args[1])[0]
             for i in fail_for:
-                if np.array_equal(prices[0], traces[i]):
+                if any(np.array_equal(row, traces[i]) for row in prices):
                     raise RuntimeError(f"injected worker fault on trace {i}")
             return original(args)
 
@@ -109,7 +109,7 @@ class TestJournalResume:
         def flaky(args):
             prices = engine._resolve_payload(args[1])[0]
             for i in fail_for:
-                if np.array_equal(prices[0], traces[i]):
+                if any(np.array_equal(row, traces[i]) for row in prices):
                     raise RuntimeError("injected")
             return original(args)
 
@@ -174,17 +174,48 @@ class TestFaultedSweep:
         assert clean.completed.all()
         assert not faulted.completed.all()
 
-    def test_legacy_path_untouched_by_default(self, job, traces, monkeypatch):
-        # With no resilience options, run_sweep must not import the
-        # resilience machinery at all.
-        def explode(*_a, **_k):  # pragma: no cover - must not run
-            raise AssertionError("resilient path activated unexpectedly")
+    @pytest.mark.parametrize(
+        "fanout, shards",
+        [({}, 1), ({"executor": "thread", "max_workers": 3}, 3)],
+        ids=["serial", "thread"],
+    )
+    def test_resilience_adds_no_kernel_calls_without_faults(
+        self, job, traces, monkeypatch, fanout, shards
+    ):
+        # With nothing failing, a resilient sweep runs the same shards
+        # as a plain one: once serially, once per worker on threads.
+        original = engine._run_kernel_chunk
+        calls = []
 
-        import repro.resilience.execution as execution
+        def counting(args):
+            calls.append(args)
+            return original(args)
 
-        monkeypatch.setattr(execution, "run_items", explode)
-        report = run_sweep(traces[:5], BIDS, job)
-        assert report.failures == ()
+        monkeypatch.setattr(engine, "_run_kernel_chunk", counting)
+        plain = run_sweep(traces, BIDS, job, **fanout)
+        assert len(calls) == shards
+        del calls[:]
+        resilient = run_sweep(
+            traces, BIDS, job, retries=1, strict=False, **fanout
+        )
+        assert len(calls) == shards
+        assert resilient.failures == ()
+        assert np.array_equal(resilient.cost, plain.cost)
+
+
+class TestArgumentValidation:
+    def test_unknown_executor_rejected_on_serial_path(self, job, traces):
+        with pytest.raises(ValueError, match="executor"):
+            run_sweep(traces[:3], BIDS, job, executor="bogus")
+
+    def test_negative_retries_rejected(self, job, traces):
+        with pytest.raises(SweepExecutionError, match="retries"):
+            run_sweep(traces[:3], BIDS, job, retries=-1)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_non_positive_item_timeout_rejected(self, job, traces, timeout):
+        with pytest.raises(SweepExecutionError, match="item_timeout"):
+            run_sweep(traces[:3], BIDS, job, item_timeout=timeout)
 
 
 class TestMapTracesResilience:
