@@ -122,7 +122,6 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Fig7Result:
             master_futs,
             slave_futs,
             start_slots=starts,
-            max_workers=config.max_workers,
         )
         results = grid.results(0)
         times = [r.completion_time for r in results if r.completed]

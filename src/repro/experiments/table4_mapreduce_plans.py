@@ -161,7 +161,6 @@ def run(config: ExperimentConfig = FULL_CONFIG) -> Table4Result:
             master_futs,
             slave_futs,
             start_slots=starts,
-            max_workers=config.max_workers,
         )
         master_costs, slave_costs = [], []
         for result in grid.results(0):

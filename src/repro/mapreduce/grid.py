@@ -14,10 +14,11 @@ the batched kernels are verified against.  ``kernel=`` overrides the
 environment and additionally accepts ``"dense"`` for the dense batched
 kernel.
 
-Process fan-out ships the stacked master/slave price matrices zero-copy
-through two :class:`~repro.sweep.shm.SharedPriceStack` segments; the
-per-chunk payload is just the two descriptors plus the chunk's small
-lane arrays.
+Lanes run in spans on the sweep engine's shard driver
+(:mod:`repro.sweep.shards`).  Process fan-out ships the stacked
+master/slave price matrices zero-copy through two
+:class:`~repro.sweep.shm.SharedPriceStack` segments; the per-chunk
+payload is just the two descriptors plus the chunk's small lane arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from ..core.types import MapReducePlan
 from ..errors import MarketError, PlanError
 from ..traces.history import SpotPriceHistory
 from ..sweep import compiled as _compiled
+from ..sweep import shards
+from ..sweep.shm import SharedPriceStack, open_stack
 from .kernels import (
     TERMINATION_CODES,
     mapreduce_grid_kernel,
@@ -206,16 +209,18 @@ def _stack_traces(
     return matrix, n_valid, index
 
 
-def _grid_worker(payload: Tuple[Any, ...]) -> Dict[str, Any]:
-    """Process-pool entry: attach the shared stacks, run one lane chunk."""
-    from ..sweep.shm import open_stack
+def _prices(stack: Any) -> np.ndarray:
+    """A price matrix passed by value, or attached from shared memory
+    through its :class:`~repro.sweep.shm.StackDescriptor`."""
+    return stack if isinstance(stack, np.ndarray) else open_stack(stack)[0]
 
-    m_desc, s_desc, lanes, slot_length, cap, kernel = payload
-    m_prices, _ = open_stack(m_desc)
-    s_prices, _ = open_stack(s_desc)
+
+def _run_lane_chunk(args: Tuple[Any, ...]) -> Dict[str, Any]:
+    """Top-level (picklable) shard function: run one span of lanes."""
+    masters, slaves, lanes, slot_length, cap, kernel = args
     return _BATCH_KERNELS[kernel](
-        m_prices,
-        s_prices,
+        _prices(masters),
+        _prices(slaves),
         slot_length=slot_length,
         max_master_restarts=cap,
         **lanes,
@@ -242,7 +247,7 @@ def run_plan_grid(
     max_master_restarts: int = 50,
     kernel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    executor: Optional[str] = None,
+    executor: str = "thread",
     journal: "Union[None, str, os.PathLike, SweepJournal]" = None,
     worker_faults: "Optional[WorkerFaults]" = None,
 ) -> MapReduceGridResult:
@@ -255,16 +260,17 @@ def run_plan_grid(
     with the same ``max_slots`` / ``max_master_restarts``.
 
     ``kernel`` picks "scalar" (the oracle), "dense", "event" or "compiled";
-    ``None`` follows ``REPRO_SWEEP_KERNEL``.  With ``executor="process"``
-    and a batched kernel, lane chunks fan out through the work-stealing
-    scheduler (:func:`repro.scheduler.run_shards`) — dynamic dispatch,
-    straggler speculation, crash respawn — and the two price stacks
-    travel zero-copy via shared memory.  ``journal`` (a path or
-    :class:`~repro.resilience.execution.SweepJournal`) makes the fan-out
-    crash-consistent: finished chunks are fsync'd to disk and a re-run
-    with the same grid resumes, recomputing only unfinished chunks.
-    ``worker_faults`` injects seeded process-level chaos into the pool
-    (results stay bitwise identical to the fault-free run).
+    ``None`` follows ``REPRO_SWEEP_KERNEL``.  A batched kernel's lanes
+    fan out as :func:`repro.sweep.run_sweep`'s traces do: ``max_workers``
+    threads, or with ``executor="process"`` the work-stealing scheduler
+    (:func:`repro.scheduler.run_shards`), the two price stacks travelling
+    zero-copy via shared memory.  ``journal`` (a path or
+    :class:`~repro.resilience.execution.SweepJournal`) fsyncs finished
+    lane spans, and a re-run of the same grid under any ``max_workers``
+    recomputes only the lanes no record covers.  ``worker_faults``
+    injects seeded process-level chaos into the pool (results stay
+    bitwise identical).  The scalar oracle runs serially: asking it for
+    a journal or process fan-out raises :class:`~repro.errors.PlanError`.
     """
     plan_list: List[MapReducePlan] = (
         [plans] if isinstance(plans, MapReducePlan) else list(plans)
@@ -309,9 +315,18 @@ def run_plan_grid(
         budgets[j] = available if max_slots is None else min(max_slots, available)
 
     n_plans = len(plan_list)
+    n_lanes = n_plans * n_runs
+    workers, processes = shards.plan_fanout(
+        executor, max_workers, n_lanes, worker_faults=worker_faults
+    )
     chosen = _resolve_kernel(kernel)
 
     if chosen == "scalar":
+        if journal is not None or executor == "process":
+            raise PlanError(
+                "the scalar oracle runs serially; journal= and "
+                "executor='process' need a batched kernel"
+            )
         return _run_scalar(
             plan_list, m_list, s_list, starts, max_slots, max_master_restarts
         )
@@ -340,32 +355,56 @@ def run_plan_grid(
             [p.job.recovery_time for p in plan_list], n_runs
         ),
     }
-    n_lanes = n_plans * n_runs
 
-    # Process fan-out is explicit opt-in: the caller asked for it, so
-    # honour it even on small grids (tests exercise tiny fan-outs).
-    fan_out = executor == "process" and (
-        (max_workers is not None and max_workers > 1)
-        or worker_faults is not None
-        or journal is not None
-    )
-    if worker_faults is not None and executor != "process":
-        raise PlanError("worker_faults requires executor='process'")
-    if fan_out:
-        raw = _run_fanout(
-            m_matrix, m_valid, s_matrix, s_valid, lanes,
-            slot_length, max_master_restarts, chosen,
-            max_workers if max_workers is not None else 1,
-            journal, worker_faults,
+    if journal is not None:
+        from ..resilience.execution import SweepJournal
+
+        if not isinstance(journal, SweepJournal):
+            journal = SweepJournal(
+                journal,
+                fsync=True,
+                signature={
+                    "kind": "mapreduce.grid",
+                    "kernel": chosen,
+                    "n_lanes": n_lanes,
+                    "slot_length": slot_length,
+                    "max_master_restarts": max_master_restarts,
+                },
+            )
+    stacks: List[SharedPriceStack] = []
+    try:
+        if processes:
+            stacks.append(SharedPriceStack(m_matrix, m_valid))
+            stacks.append(SharedPriceStack(s_matrix, s_valid))
+        masters, slaves = (
+            [stack.descriptor for stack in stacks] if stacks else [m_matrix, s_matrix]
         )
-    else:
-        raw = _BATCH_KERNELS[chosen](
-            m_matrix,
-            s_matrix,
-            slot_length=slot_length,
-            max_master_restarts=max_master_restarts,
-            **lanes,
+
+        def shard_args(lo: int, hi: int) -> Tuple[Any, ...]:
+            return (
+                masters,
+                slaves,
+                {key: arr[lo:hi] for key, arr in lanes.items()},
+                slot_length,
+                max_master_restarts,
+                chosen,
+            )
+
+        run = shards.run_spans(
+            _run_lane_chunk,
+            shard_args,
+            n_lanes,
+            executor=executor,
+            workers=workers,
+            processes=processes,
+            unit="lanes",
+            journal=journal,
+            worker_faults=worker_faults,
         )
+    finally:
+        for stack in stacks:
+            stack.close()
+    raw = _merge_chunks([run.results[span] for span in sorted(run.results)])
 
     def grid(key: str) -> np.ndarray:
         return raw[key].reshape(n_plans, n_runs)
@@ -436,72 +475,3 @@ def _run_scalar(
         kernel="scalar",
         slots_simulated=slots,
     )
-
-
-def _run_fanout(
-    m_matrix: np.ndarray,
-    m_valid: np.ndarray,
-    s_matrix: np.ndarray,
-    s_valid: np.ndarray,
-    lanes: Dict[str, np.ndarray],
-    slot_length: float,
-    max_master_restarts: int,
-    kernel: str,
-    max_workers: int,
-    journal: "Union[None, str, os.PathLike, SweepJournal]" = None,
-    worker_faults: "Optional[WorkerFaults]" = None,
-) -> Dict[str, Any]:
-    """Chunk lanes over the scheduler pool; stacks travel via shm."""
-    from ..scheduler import run_shards
-    from ..sweep.engine import (
-        _deserialize_kernel_result,
-        _serialize_kernel_result,
-    )
-    from ..sweep.shm import SharedPriceStack
-
-    n_lanes = lanes["lane_mrow"].size
-    # More chunks than workers gives the work-stealing scheduler slack:
-    # a straggling worker holds back one small chunk, not a statically
-    # assigned slice; chunks stay big enough to keep the vectorized
-    # inner loops wide.
-    n_chunks = min(n_lanes, max(2, 4 * max_workers))
-    bounds = np.linspace(0, n_lanes, n_chunks + 1).astype(np.int64)
-    spans = [
-        (int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    with SharedPriceStack(m_matrix, m_valid) as m_stack, SharedPriceStack(
-        s_matrix, s_valid
-    ) as s_stack:
-        payloads = [
-            (
-                m_stack.descriptor,
-                s_stack.descriptor,
-                {key: arr[lo:hi] for key, arr in lanes.items()},
-                slot_length,
-                max_master_restarts,
-                kernel,
-            )
-            for lo, hi in spans
-        ]
-        sched = run_shards(
-            _grid_worker,
-            payloads,
-            max_workers=max_workers,
-            keys=[f"lanes:{lo}:{hi}" for lo, hi in spans],
-            labels=[f"lanes [{lo}, {hi})" for lo, hi in spans],
-            journal=journal,
-            signature={
-                "kind": "mapreduce.grid",
-                "kernel": kernel,
-                "n_lanes": int(n_lanes),
-                "n_chunks": len(spans),
-                "slot_length": slot_length,
-                "max_master_restarts": max_master_restarts,
-            },
-            serialize=_serialize_kernel_result,
-            deserialize=_deserialize_kernel_result,
-            worker_faults=worker_faults,
-        )
-    return _merge_chunks(sched.results)

@@ -6,8 +6,10 @@ This package is the scaling substrate over the scalar
 * :mod:`repro.sweep.kernels` — slot-batched NumPy kernels, bitwise
   identical to the oracle, vectorized over the bid (and trace) axes.
 * :mod:`repro.sweep.engine` — :func:`run_sweep` front door with ragged
-  trace stacking, per-trace start slots, paired bids and optional
-  ``concurrent.futures`` fan-out.
+  trace stacking, per-trace start slots and paired bids.
+* :mod:`repro.sweep.shards` — the shard driver under :func:`run_sweep`
+  and :func:`repro.mapreduce.run_plan_grid`: row-span journal resume,
+  serial / thread / process-pool waves and bisection of failing shards.
 * :mod:`repro.sweep.report` — :class:`SweepReport` per-cell arrays plus
   :class:`SweepCounters` (slots simulated, kernel seconds, cache hits).
 * :mod:`repro.sweep.cache` — memoized ``EmpiricalPriceDistribution``
@@ -20,7 +22,7 @@ from .cache import (
     distribution_cache_stats,
 )
 from .compiled import COMPILED_AVAILABLE
-from .engine import map_traces, run_sweep
+from .engine import run_sweep
 from .kernels import (
     onetime_sweep_kernel,
     onetime_sweep_kernel_compiled,
@@ -37,7 +39,6 @@ __all__ = [
     "cached_distribution",
     "clear_distribution_cache",
     "distribution_cache_stats",
-    "map_traces",
     "run_sweep",
     "onetime_sweep_kernel",
     "onetime_sweep_kernel_compiled",

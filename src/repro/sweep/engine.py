@@ -2,32 +2,26 @@
 
 :func:`run_sweep` is the front door.  It normalizes heterogeneous trace
 inputs (histories, arrays, ragged lengths, per-trace start slots) into a
-padded price matrix, dispatches to the slot-batched kernels in
-:mod:`repro.sweep.kernels` — optionally fanning traces out over a
-``concurrent.futures`` executor — and assembles a
-:class:`~repro.sweep.report.SweepReport` whose cells are bitwise
-identical to the scalar :mod:`repro.market.fastpath` oracle.
+padded price matrix, runs the slot-batched kernels in
+:mod:`repro.sweep.kernels` over row shards through the shard driver
+(:mod:`repro.sweep.shards`) — serially, on threads or on the process
+pool — and assembles a :class:`~repro.sweep.report.SweepReport` whose
+cells are bitwise identical to the scalar :mod:`repro.market.fastpath`
+oracle.
 """
 
 from __future__ import annotations
 
 import os
-import re
-import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import wait as wait_futures
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     Iterable,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -35,9 +29,10 @@ import numpy as np
 
 from ..constants import SWEEP_KERNEL, EnvVarError
 from ..core.types import JobSpec, Strategy, normalize_strategy
-from ..errors import MarketError, SweepExecutionError
+from ..errors import MarketError
 from . import cache as _cache
 from . import compiled as _compiled
+from . import shards
 from .kernels import (
     onetime_sweep_kernel,
     onetime_sweep_kernel_compiled,
@@ -50,19 +45,10 @@ from .report import SweepCounters, SweepReport
 from .shm import SharedPriceStack, open_stack
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..resilience.execution import (
-        BackoffPolicy,
-        ExecutionResult,
-        ItemFailure,
-        SweepJournal,
-    )
+    from ..resilience.execution import SweepJournal
     from ..resilience.faults import FaultInjector, WorkerFaults
-    from ..scheduler import SchedulerStats
 
-__all__ = ["map_traces", "run_sweep"]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+__all__ = ["run_sweep"]
 
 #: Result keys copied from a kernel dict into the report, in field order.
 _FIELDS = (
@@ -147,84 +133,6 @@ def _slot_length_of(traces: Union[object, Sequence[object]], job: JobSpec) -> No
             )
 
 
-def map_traces(
-    fn: Callable[[_T], _R],
-    items: Sequence[_T],
-    *,
-    max_workers: Optional[int] = None,
-    executor: str = "thread",
-    retries: int = 0,
-    backoff: "Optional[BackoffPolicy]" = None,
-    timeout: Optional[float] = None,
-    strict: bool = True,
-    labels: Optional[Sequence[str]] = None,
-    journal: "Optional[SweepJournal]" = None,
-    keys: Optional[Sequence[str]] = None,
-    serialize: Optional[Callable[[_R], object]] = None,
-    deserialize: Optional[Callable[[object], _R]] = None,
-    return_failures: bool = False,
-) -> "Union[List[_R], ExecutionResult]":
-    """Apply ``fn`` over ``items``, optionally on an executor, preserving
-    order.  ``max_workers=None`` (or fewer than two items) runs serially;
-    ``executor`` chooses ``"thread"`` or ``"process"`` fan-out.
-
-    This is the fan-out primitive of the repetition loops of the heavier
-    experiments (e.g. the MapReduce cluster backtests, which cannot be
-    expressed as single-request kernels); :func:`run_sweep` cuts and
-    runs its own shards.
-
-    The resilience options delegate to
-    :func:`repro.resilience.execution.run_items`: failing items are
-    retried ``retries`` times with capped exponential ``backoff``,
-    bounded by a per-item ``timeout``, journaled for resume, and — with
-    ``strict=False`` — recorded as failures instead of raising.  With
-    ``return_failures=True`` the full
-    :class:`~repro.resilience.execution.ExecutionResult` is returned
-    instead of the bare result list.  With every resilience option at
-    its default the legacy fast path runs unchanged.
-    """
-    resilient = (
-        retries > 0
-        or timeout is not None
-        or journal is not None
-        or not strict
-        or return_failures
-    )
-    if resilient:
-        from ..resilience.execution import run_items
-
-        result = run_items(
-            fn,
-            items,
-            labels=labels,
-            retries=retries,
-            backoff=backoff,
-            timeout=timeout,
-            strict=strict,
-            max_workers=max_workers,
-            executor=executor,
-            journal=journal,
-            keys=keys,
-            **(
-                {"serialize": serialize} if serialize is not None else {}
-            ),
-            **(
-                {"deserialize": deserialize} if deserialize is not None else {}
-            ),
-        )
-        return result if return_failures else result.results
-    if max_workers is None or max_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    if executor == "thread":
-        pool_cls = ThreadPoolExecutor
-    elif executor == "process":
-        pool_cls = ProcessPoolExecutor
-    else:
-        raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
-    with pool_cls(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _select_kernels() -> Tuple[Callable[..., dict], Callable[..., dict]]:
     """Kernel pair chosen by ``REPRO_SWEEP_KERNEL`` (``event`` default,
     ``reference`` for the dense oracle path, ``compiled`` for the
@@ -295,29 +203,6 @@ def _run_kernel_chunk(args: Tuple[Any, ...]) -> dict:
     return result
 
 
-def _serialize_kernel_result(result: dict) -> dict:
-    """Kernel result dict → JSON-safe journal payload (dtypes preserved)."""
-    payload = {}
-    for key, value in result.items():
-        if isinstance(value, np.ndarray):
-            payload[key] = {"data": value.tolist(), "dtype": str(value.dtype)}
-        else:
-            payload[key] = value
-    return payload
-
-
-def _deserialize_kernel_result(payload: dict) -> dict:
-    """Inverse of :func:`_serialize_kernel_result` — bitwise round-trip
-    (JSON floats use shortest round-trip repr)."""
-    out = {}
-    for key, value in payload.items():
-        if isinstance(value, dict) and "dtype" in value:
-            out[key] = np.asarray(value["data"], dtype=value["dtype"])
-        else:
-            out[key] = value
-    return out
-
-
 def _failure_placeholder(n_bids: int) -> dict:
     """The row recorded for a permanently failed trace: NaN costs/times,
     ``completed=False`` — unmistakably "no data", not "ran and lost"."""
@@ -335,186 +220,6 @@ def _failure_placeholder(n_bids: int) -> dict:
     }
 
 
-#: Journal keys: ``rows:lo:hi`` names a finished shard of rows
-#: ``[lo, hi)``; ``trace:i`` records of older journals read as one row.
-_JOURNAL_KEY = re.compile(r"rows:(\d+):(\d+)|trace:(\d+)")
-
-
-def _journal_spans(finished: dict, n_traces: int) -> Dict[Tuple[int, int], dict]:
-    """Journaled shard results keyed by their ``(lo, hi)`` row span.
-
-    Records are taken in row order, skipping any that overlaps one
-    already taken, so the returned spans are disjoint.
-    """
-    spans = []
-    for key, payload in finished.items():
-        match = _JOURNAL_KEY.fullmatch(key)
-        if match is None:
-            continue
-        lo, hi, row = match.groups()
-        span = (int(row), int(row) + 1) if row is not None else (int(lo), int(hi))
-        spans.append((span, payload))
-    covered = np.zeros(n_traces, dtype=bool)
-    taken = {}
-    for (lo, hi), payload in sorted(spans, key=lambda item: item[0]):
-        if 0 <= lo < hi <= n_traces and not covered[lo:hi].any():
-            covered[lo:hi] = True
-            taken[(lo, hi)] = _deserialize_kernel_result(payload)
-    return taken
-
-
-def _cut_spans(rows: np.ndarray, n_shards: int) -> List[Tuple[int, int]]:
-    """Cut sorted row indices into about ``n_shards`` ``(lo, hi)`` spans
-    of contiguous rows; a gap (rows served from a journal) always cuts."""
-    spans: List[Tuple[int, int]] = []
-    if not rows.size:
-        return spans
-    for piece in np.array_split(rows, min(n_shards, rows.size)):
-        breaks = np.flatnonzero(np.diff(piece) != 1) + 1
-        for run in np.split(piece, breaks):
-            spans.append((int(run[0]), int(run[-1]) + 1))
-    return spans
-
-
-class _Failed(NamedTuple):
-    """One failed shard attempt.  ``exc`` is the exception itself when
-    it was raised in this process (so a strict run can chain it)."""
-
-    error_type: str
-    message: str
-    exc: Optional[BaseException] = None
-
-    @classmethod
-    def of(cls, exc: BaseException) -> "_Failed":
-        return cls(type(exc).__name__, str(exc), exc)
-
-
-def _run_in_process(
-    wave: List[Tuple[int, int]],
-    shard_args: Callable[[int, int], Tuple[Any, ...]],
-    *,
-    pool: Optional[ThreadPoolExecutor],
-    timeout: Optional[float],
-    catch: bool,
-    journal: "Optional[SweepJournal]",
-) -> list:
-    """Run each span of ``wave`` once in this process — inline, or on
-    ``pool`` — and return one kernel result or :class:`_Failed` per span.
-
-    With ``catch=False`` a shard's exception propagates unchanged (the
-    plain, non-resilient run).  Finished spans are journaled as they
-    complete.
-    """
-    futures = (
-        [pool.submit(_run_kernel_chunk, shard_args(lo, hi)) for lo, hi in wave]
-        if pool is not None
-        else None
-    )
-    outcomes: list = []
-    for k, (lo, hi) in enumerate(wave):
-        try:
-            if futures is None:
-                result = _run_kernel_chunk(shard_args(lo, hi))
-            elif not wait_futures([futures[k]], timeout=timeout).done:
-                # The thread cannot be killed; its late result is dropped.
-                futures[k].cancel()
-                outcomes.append(
-                    _Failed("TimeoutError", f"no result within {timeout:g}s")
-                )
-                continue
-            else:
-                result = futures[k].result()
-        except Exception as exc:
-            if not catch:
-                raise
-            outcomes.append(_Failed.of(exc))
-            continue
-        if journal is not None:
-            journal.record(f"rows:{lo}:{hi}", _serialize_kernel_result(result))
-        outcomes.append(result)
-    return outcomes
-
-
-def _run_bisecting(
-    run_wave: Callable[[List[Tuple[int, int]]], list],
-    spans: List[Tuple[int, int]],
-    *,
-    retries: int,
-    backoff: "Optional[BackoffPolicy]",
-    strict: bool,
-) -> "Tuple[Dict[Tuple[int, int], dict], List[ItemFailure]]":
-    """Run row ``spans`` to completion, isolating failures by bisection.
-
-    ``run_wave`` runs each span of a wave once on some backend and
-    returns one kernel result or :class:`_Failed` per span.  A failed
-    span of several rows is split in half and both halves join the next
-    wave, so with nothing failing this is one wave and costs nothing,
-    and a bad row costs O(log n) extra shard runs.  Only a failed
-    single-row span spends the ``retries`` budget (after the ``backoff``
-    delay); once exhausted the row becomes an
-    :class:`~repro.resilience.execution.ItemFailure` — or, with
-    ``strict=True``, raises :class:`~repro.errors.SweepExecutionError`.
-    Rows are independent in every kernel, so a half re-run alone
-    returns exactly the rows it returned inside its parent.
-    """
-    done: Dict[Tuple[int, int], dict] = {}
-    failures: list = []
-    row_failures: Dict[int, int] = {}
-    wave = list(spans)
-    while wave:
-        again = [row_failures[lo] for lo, hi in wave if lo in row_failures]
-        if again:
-            if backoff is None:
-                from ..resilience.execution import BackoffPolicy
-
-                backoff = BackoffPolicy()
-            delay = backoff.delay(max(again) - 1)
-            if delay > 0:
-                time.sleep(delay)
-        next_wave: List[Tuple[int, int]] = []
-        for (lo, hi), outcome in zip(wave, run_wave(wave)):
-            if not isinstance(outcome, _Failed):
-                done[(lo, hi)] = outcome
-                continue
-            if hi - lo > 1:
-                mid = (lo + hi) // 2
-                next_wave += [(lo, mid), (mid, hi)]
-                continue
-            attempts = row_failures[lo] = row_failures.get(lo, 0) + 1
-            if attempts <= retries:
-                next_wave.append((lo, hi))
-                continue
-            from ..resilience.execution import ItemFailure
-
-            failure = ItemFailure(
-                index=lo,
-                label=f"trace {lo}",
-                error_type=outcome.error_type,
-                message=outcome.message,
-                attempts=attempts,
-            )
-            if strict:
-                raise SweepExecutionError(
-                    f"work item failed permanently: {failure}"
-                ) from outcome.exc
-            failures.append(failure)
-        wave = next_wave
-    return done, sorted(failures, key=lambda f: f.index)
-
-
-def _merged_scheduler_stats(parts: list, reused_rows: int) -> "SchedulerStats":
-    """One :class:`~repro.scheduler.SchedulerStats` over every wave's
-    pool run; ``reused`` counts rows served from the journal."""
-    from ..scheduler import SchedulerStats
-
-    totals: Dict[str, int] = {}
-    for part in parts:
-        for name, value in part.as_dict().items():
-            totals[name] = totals.get(name, 0) + value
-    totals["reused"] = reused_rows
-    return SchedulerStats(**totals)
-
-
 def run_sweep(
     traces: Union[object, Sequence[object]],
     bids: Union[float, Sequence[float], np.ndarray],
@@ -527,7 +232,6 @@ def run_sweep(
     executor: str = "thread",
     faults: "Optional[FaultInjector]" = None,
     retries: int = 0,
-    backoff: "Optional[BackoffPolicy]" = None,
     item_timeout: Optional[float] = None,
     strict: bool = True,
     journal: "Union[None, str, os.PathLike, SweepJournal]" = None,
@@ -564,18 +268,19 @@ def run_sweep(
         (:func:`repro.scheduler.run_shards`) — dynamic shard dispatch,
         straggler speculation, crash respawn and poison-shard
         quarantine, with results bitwise identical to a serial run.
-        A serial run is one shard.
+        A serial run is one shard.  ``max_workers`` below 1 raises
+        :class:`~repro.errors.SweepExecutionError`.
     faults:
         Optional :class:`~repro.resilience.faults.FaultInjector`; trace
         ``i`` is perturbed with ``faults.derive(i)`` before simulation,
         so fault-injected sweeps stay reproducible per root seed.
-    retries / backoff / item_timeout / strict / journal:
+    retries / item_timeout / strict / journal:
         Resilient execution.  The shards are cut exactly as in a plain
         run, so with nothing failing resilience costs nothing.  A shard
         that fails is split in half and both halves re-run, until the
         failing trace sits alone in a one-row shard; only that shard is
         retried, ``retries`` more times after a capped exponential
-        ``backoff`` delay.  ``item_timeout`` bounds each shard run (on
+        delay (``min(2, 0.05 * 2**k)`` seconds before retry ``k``).  ``item_timeout`` bounds each shard run (on
         the process path a worker past it is killed and respawned).
         With ``strict=False`` a trace that still fails lands in
         ``SweepReport.failures`` (its row becomes a NaN placeholder)
@@ -598,16 +303,6 @@ def run_sweep(
         Per-cell outcome arrays, bitwise identical to the fastpath
         oracle, plus work/cache counters.
     """
-    if executor not in ("thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
-    if worker_faults is not None and executor != "process":
-        raise ValueError("worker_faults requires executor='process'")
-    if retries < 0:
-        raise SweepExecutionError(f"retries must be >= 0, got {retries!r}")
-    if item_timeout is not None and not item_timeout > 0:
-        raise SweepExecutionError(
-            f"item_timeout must be positive, got {item_timeout!r}"
-        )
     strategy = normalize_strategy(strategy)
     if not strategy.sweepable:
         raise ValueError(
@@ -625,6 +320,10 @@ def run_sweep(
         ]
     matrix, n_valid = _stack_traces(trace_list, start_slots)
     n_traces = matrix.shape[0]
+    workers, processes = shards.plan_fanout(
+        executor, max_workers, n_traces,
+        retries=retries, item_timeout=item_timeout, worker_faults=worker_faults,
+    )
 
     bid_values = np.atleast_1d(np.asarray(bids, dtype=float))
     if pair_bids:
@@ -643,26 +342,6 @@ def run_sweep(
     hits0, misses0 = _cache.distribution_cache_stats()
     n_cols = 1 if pair_bids else int(kernel_bids.shape[-1])
 
-    resilient = (
-        retries > 0 or item_timeout is not None or journal is not None or not strict
-    )
-    workers = max_workers if max_workers is not None and max_workers > 1 else 1
-    # Process fan-out goes through the work-stealing scheduler, so cut
-    # more shards than workers: a slow worker then holds back one small
-    # shard, not a statically assigned 1/W of the sweep.
-    n_shards = (
-        max(2, 4 * workers) if executor == "process" and workers > 1 else workers
-    )
-    # Shards cross a process boundary exactly when the scheduler pool
-    # will actually be used; only then is the price stack worth sharing
-    # (and only then do worker-local cache counters need merging back).
-    out_of_process = executor == "process" and (
-        (workers > 1 and n_traces > 1)
-        or item_timeout is not None
-        or worker_faults is not None
-    )
-
-    done: Dict[Tuple[int, int], dict] = {}
     if journal is not None:
         from ..resilience.execution import SweepJournal
 
@@ -683,20 +362,9 @@ def run_sweep(
                     "n_traces": n_traces,
                 },
             )
-        done = _journal_spans(journal.load(), n_traces)
-    # Spans served from the journal: their cache deltas were spent in an
-    # earlier run.
-    reused = set(done)
-    todo = np.ones(n_traces, dtype=bool)
-    for lo, hi in done:
-        todo[lo:hi] = False
-    spans = _cut_spans(np.flatnonzero(todo), n_shards)
-
     stack: Optional[SharedPriceStack] = None
-    pool: Optional[ThreadPoolExecutor] = None
-    sched_parts: list = []
     try:
-        if out_of_process:
+        if processes:
             # Zero-copy fan-out: the (T, S) matrix and n_valid live in one
             # shared-memory segment; workers get (name, shape, row-bounds).
             # Bisection waves and journal-resumed runs reuse the segment.
@@ -716,78 +384,28 @@ def run_sweep(
                 job.slot_length,
             )
 
-        if out_of_process:
-            # The single process-fan-out path: the work-stealing
-            # scheduler pool (dynamic dispatch, straggler speculation,
-            # crash respawn, poison-shard quarantine).  A resilient run
-            # gives each shard one attempt — bisection, not the pool,
-            # decides what a failure costs — and ``item_timeout`` is the
-            # per-shard deadline after which a stuck worker is killed.
-            from ..scheduler import run_shards
-
-            def run_wave(wave: List[Tuple[int, int]]) -> list:
-                sched = run_shards(
-                    _run_kernel_chunk,
-                    [shard_args(lo, hi) for lo, hi in wave],
-                    max_workers=max_workers,
-                    keys=[f"rows:{lo}:{hi}" for lo, hi in wave],
-                    labels=[f"rows [{lo}, {hi})" for lo, hi in wave],
-                    journal=journal,
-                    serialize=_serialize_kernel_result,
-                    deserialize=_deserialize_kernel_result,
-                    strict=not resilient,
-                    max_shard_failures=1 if resilient else None,
-                    shard_timeout=item_timeout,
-                    worker_faults=worker_faults,
-                )
-                sched_parts.append(sched.stats)
-                reused.update(wave[i] for i in sched.reused)
-                failed = {
-                    f.index: _Failed(f.error_type, f.message)
-                    for f in sched.failures
-                }
-                return [failed.get(i, r) for i, r in enumerate(sched.results)]
-
-        else:
-            # A deadline needs a pool even for a serial run, so this
-            # thread can give up on a stuck shard instead of blocking.
-            if spans and (
-                (executor == "thread" and workers > 1 and n_traces > 1)
-                or item_timeout is not None
-            ):
-                pool = ThreadPoolExecutor(max_workers=workers)
-
-            def run_wave(wave: List[Tuple[int, int]]) -> list:
-                return _run_in_process(
-                    wave,
-                    shard_args,
-                    pool=pool,
-                    timeout=item_timeout,
-                    catch=resilient,
-                    journal=journal,
-                )
-
-        started = time.perf_counter()
-        computed, failures = _run_bisecting(
-            run_wave, spans, retries=retries, backoff=backoff, strict=strict
+        run = shards.run_spans(
+            _run_kernel_chunk,
+            shard_args,
+            n_traces,
+            executor=executor,
+            workers=workers,
+            processes=processes,
+            unit="rows",
+            journal=journal,
+            retries=retries,
+            strict=strict,
+            item_timeout=item_timeout,
+            worker_faults=worker_faults,
         )
-        kernel_seconds = time.perf_counter() - started
     finally:
-        if pool is not None:
-            pool.shutdown()
         if stack is not None:
             stack.close()
 
-    pieces = dict(done)
-    pieces.update(computed)
-    for failure in failures:
+    pieces = dict(run.results)
+    for failure in run.failures:
         pieces[(failure.index, failure.index + 1)] = _failure_placeholder(n_cols)
     results = [pieces[span] for span in sorted(pieces)]
-    sched_stats = (
-        _merged_scheduler_stats(sched_parts, sum(hi - lo for lo, hi in reused))
-        if out_of_process
-        else None
-    )
     merged = {
         key: np.concatenate([r[key] for r in results], axis=0) for key in _FIELDS
     }
@@ -797,15 +415,15 @@ def run_sweep(
     # shards report their own worker-local deltas (journal-reused spans
     # excluded — their recorded deltas were spent in an earlier run).
     worker_hits = worker_misses = 0
-    if out_of_process:
-        fresh = [r for span, r in computed.items() if span not in reused]
+    if processes:
+        fresh = [r for span, r in run.results.items() if span not in run.reused]
         worker_hits = int(sum(r.get("cache_hits", 0) for r in fresh))
         worker_misses = int(sum(r.get("cache_misses", 0) for r in fresh))
     counters = SweepCounters(
         n_traces=n_traces,
         n_bids=n_cols,
         slots_simulated=slots,
-        kernel_seconds=kernel_seconds,
+        kernel_seconds=run.seconds,
         cache_hits=(hits1 - hits0) + worker_hits,
         cache_misses=(misses1 - misses0) + worker_misses,
     )
@@ -820,6 +438,6 @@ def run_sweep(
         recovery_time_used=merged["recovery_time_used"],
         interruptions=merged["interruptions"],
         counters=counters,
-        failures=tuple(failures),
-        scheduler=sched_stats,
+        failures=run.failures,
+        scheduler=run.scheduler,
     )

@@ -15,16 +15,16 @@ from repro.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-_REPORT = (
-    "import sys; "
-    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-)
 
-
-def _loaded_scipy(code):
-    """Run ``code`` in a new interpreter; return the scipy modules it loaded."""
+def _loaded(code, package="scipy"):
+    """Run ``code`` in a new interpreter; return the modules of
+    ``package`` (a dotted name) it loaded."""
+    report = (
+        "import sys; print(sorted(m for m in sys.modules "
+        f"if (m + '.').startswith({package + '.'!r})))"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{_REPORT}"],
+        [sys.executable, "-c", f"{code}\n{report}"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
@@ -48,22 +48,28 @@ def _cli(*argv):
 
 class TestScipyStaysUnloaded:
     def test_cli_import(self):
-        assert _loaded_scipy("import repro.cli") == "[]"
+        assert _loaded("import repro.cli") == "[]"
 
     def test_bid_all_strategies(self, trace_csv):
         code = _cli("bid", str(trace_csv), "--strategy", "all")
-        assert _loaded_scipy(code) == "[]"
+        assert _loaded(code) == "[]"
 
     def test_serve_smoke(self, trace_csv):
         code = _cli("serve", str(trace_csv), "--smoke", "200")
-        assert _loaded_scipy(code) == "[]"
+        assert _loaded(code) == "[]"
 
     def test_sweep_user_imports(self):
         code = (
             "import repro.sweep, repro.serve, repro.mapreduce.grid, "
             "repro.traces.generator"
         )
-        assert _loaded_scipy(code) == "[]"
+        assert _loaded(code) == "[]"
+
+
+def test_engine_imports_leave_the_scheduler_unloaded():
+    """The process pool loads only when a run fans out to processes."""
+    code = "import repro.sweep, repro.mapreduce.grid"
+    assert _loaded(code, "repro.scheduler") == "[]"
 
 
 def test_fitting_still_loads_scipy_and_fits():
@@ -77,5 +83,5 @@ def test_fitting_still_loads_scipy_and_fits():
         "assert pareto.beta == expo.beta\n"
         "assert expo.mse_mass < 5e-4"
     )
-    loaded = _loaded_scipy(code)
+    loaded = _loaded(code)
     assert "'scipy.optimize'" in loaded

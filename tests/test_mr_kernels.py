@@ -10,12 +10,13 @@ that never launch, and ``max_slots`` truncation.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.types import BidDecision, BidKind, MapReduceJobSpec, MapReducePlan
-from repro.errors import MarketError, PlanError
+from repro.errors import MarketError, PlanError, SweepExecutionError
 from repro.mapreduce import (
     TERMINATION_CODES,
     MapReduceGridResult,
@@ -242,24 +243,73 @@ class TestDispatchAndFanout:
         with pytest.raises(MarketError):
             run_plan_grid(make_plan(), trace, trace, kernel="gpu")
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_process_fanout_bitwise(self, kernel):
+    @pytest.mark.parametrize(
+        "kernel, executor",
+        [(k, "process") for k in KERNELS] + [(k, "thread") for k in KERNELS],
+        ids=list(KERNELS) + [f"thread-{k}" for k in KERNELS],
+    )
+    def test_process_fanout_bitwise(self, kernel, executor, monkeypatch):
+        from repro.mapreduce import grid as grid_module
+
         rng = np.random.default_rng(11)
         plans = [random_plan(rng) for _ in range(4)]
         m = [random_trace(rng, 150) for _ in range(3)]
         s = [random_trace(rng, 150) for _ in range(3)]
         starts = [0, 20, 100]
         ref = run_plan_grid(plans, m, s, start_slots=starts, kernel="scalar")
+        original = grid_module._run_lane_chunk
+        threads = set()
+
+        def recording(args):
+            threads.add(threading.get_ident())
+            return original(args)
+
+        monkeypatch.setattr(grid_module, "_run_lane_chunk", recording)
         fan = run_plan_grid(
             plans,
             m,
             s,
             start_slots=starts,
             kernel=kernel,
-            executor="process",
+            executor=executor,
             max_workers=2,
         )
         assert_bitwise(ref, fan)
+        if executor == "thread":
+            # Two shards ran on pool threads, not on this one.
+            assert threads and threading.get_ident() not in threads
+
+    def test_unknown_executor_raises(self):
+        trace = flat_trace(0.1)
+        with pytest.raises(ValueError, match="executor"):
+            run_plan_grid(make_plan(), trace, trace, executor="bogus")
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_non_positive_max_workers_raises(self, executor):
+        trace = flat_trace(0.1)
+        with pytest.raises(SweepExecutionError, match="max_workers"):
+            run_plan_grid(
+                make_plan(), trace, trace, executor=executor, max_workers=0
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kernel": "scalar", "executor": "process", "max_workers": 2},
+            {"kernel": "scalar", "journal": "grid.jsonl"},
+            {"executor": "process", "max_workers": 2},
+        ],
+        ids=["scalar-process", "scalar-journal", "reference-env-process"],
+    )
+    def test_scalar_oracle_rejects_fanout_and_journal(
+        self, kwargs, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "reference")
+        monkeypatch.chdir(tmp_path)
+        trace = flat_trace(0.1)
+        with pytest.raises(PlanError, match="scalar oracle"):
+            run_plan_grid(make_plan(), trace, [trace, trace], **kwargs)
+        assert not (tmp_path / "grid.jsonl").exists()
 
 
 class TestGridResultApi:

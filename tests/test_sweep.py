@@ -20,7 +20,6 @@ from repro.sweep import (
     cached_distribution,
     clear_distribution_cache,
     distribution_cache_stats,
-    map_traces,
     onetime_sweep_kernel,
     persistent_sweep_kernel,
 )
@@ -162,15 +161,6 @@ class TestEngine:
         report = run_sweep(history, 0.05, JobSpec(1.0, slot_length=TK))
         assert report.shape == (1, 1)
         assert bool(report.completed[0, 0])
-
-    def test_map_traces_preserves_order(self):
-        items = list(range(20))
-        assert map_traces(lambda x: x * x, items) == [x * x for x in items]
-        assert map_traces(
-            lambda x: x * x, items, max_workers=4
-        ) == [x * x for x in items]
-        with pytest.raises(ValueError):
-            map_traces(lambda x: x, items, max_workers=2, executor="bogus")
 
 
 class TestReport:

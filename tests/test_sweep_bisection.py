@@ -18,12 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import JobSpec, Strategy
-from repro.resilience.execution import BackoffPolicy
-from repro.sweep import engine, run_sweep
+from repro.sweep import engine, run_sweep, shards
 
 JOB = JobSpec(execution_time=0.5, recovery_time=0.01)
 BIDS = [0.03, 0.06, 0.09]
-NO_WAIT = BackoffPolicy(base_delay=0.0)
 MAX_TRACES = 200
 
 #: The trace pool; each row's first price is unique, so a shard's rows
@@ -51,6 +49,10 @@ def faulty_kernel(bad, calls):
         return ORIGINAL(args)
 
     return kernel
+
+
+def no_wait(_delay):
+    """Stands in for the driver's sleep between retry waves."""
 
 
 def call_bound(n, n_bad, n_shards, retries):
@@ -104,10 +106,12 @@ class TestBisectionIsolation:
         traces = list(POOL[:n])
         clean = run_sweep(traces, BIDS, JOB, strategy=strategy)
         calls = []
-        with mock.patch.object(engine, "_run_kernel_chunk", faulty_kernel(bad, calls)):
+        with mock.patch.object(
+            engine, "_run_kernel_chunk", faulty_kernel(bad, calls)
+        ), mock.patch.object(shards, "_sleep", no_wait):
             report = run_sweep(
                 traces, BIDS, JOB, strategy=strategy, retries=retries,
-                strict=False, backoff=NO_WAIT, **fanout,
+                strict=False, **fanout,
             )
         assert_isolated(report, clean, bad)
         assert len(calls) <= call_bound(n, len(bad), min(n_shards, n), retries)
@@ -118,10 +122,12 @@ class TestBisectionIsolation:
         n, bad, retries = 13, {0, 6, 12}, 1
         traces = list(POOL[:n])
         clean = run_sweep(traces, BIDS, JOB)
-        with mock.patch.object(engine, "_run_kernel_chunk", faulty_kernel(bad, [])):
+        with mock.patch.object(
+            engine, "_run_kernel_chunk", faulty_kernel(bad, [])
+        ), mock.patch.object(shards, "_sleep", no_wait):
             report = run_sweep(
                 traces, BIDS, JOB, executor="process", max_workers=2,
-                retries=retries, strict=False, backoff=NO_WAIT,
+                retries=retries, strict=False,
             )
         assert_isolated(report, clean, bad)
         assert [f.attempts for f in report.failures] == [retries + 1] * len(bad)

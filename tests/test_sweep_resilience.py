@@ -6,10 +6,9 @@ import pytest
 
 from repro.core.types import JobSpec, Strategy
 from repro.errors import SweepExecutionError
-from repro.resilience.execution import BackoffPolicy, SweepJournal
+from repro.resilience.execution import SweepJournal
 from repro.resilience.faults import FaultInjector, PriceSpike, SlotDropout
-from repro.sweep import engine, run_sweep
-from repro.sweep.engine import map_traces
+from repro.sweep import engine, run_sweep, shards
 
 
 @pytest.fixture
@@ -43,10 +42,8 @@ class TestPartialReport:
             return original(args)
 
         monkeypatch.setattr(engine, "_run_kernel_chunk", flaky)
-        report = run_sweep(
-            traces, BIDS, job, strict=False,
-            backoff=BackoffPolicy(base_delay=0.0),
-        )
+        monkeypatch.setattr(shards, "_sleep", lambda _delay: None)
+        report = run_sweep(traces, BIDS, job, strict=False)
 
         assert report.is_partial
         assert report.failed_traces() == (7, 42)
@@ -88,10 +85,8 @@ class TestPartialReport:
             return original(args)
 
         monkeypatch.setattr(engine, "_run_kernel_chunk", transient)
-        report = run_sweep(
-            traces[:10], BIDS, job, retries=3,
-            backoff=BackoffPolicy(base_delay=0.0),
-        )
+        monkeypatch.setattr(shards, "_sleep", lambda _delay: None)
+        report = run_sweep(traces[:10], BIDS, job, retries=3)
         assert not report.is_partial
         assert np.array_equal(report.cost, clean.cost)
 
@@ -208,6 +203,11 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="executor"):
             run_sweep(traces[:3], BIDS, job, executor="bogus")
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_non_positive_max_workers_rejected(self, job, traces, executor):
+        with pytest.raises(SweepExecutionError, match="max_workers"):
+            run_sweep(traces[:3], BIDS, job, executor=executor, max_workers=0)
+
     def test_negative_retries_rejected(self, job, traces):
         with pytest.raises(SweepExecutionError, match="retries"):
             run_sweep(traces[:3], BIDS, job, retries=-1)
@@ -216,19 +216,3 @@ class TestArgumentValidation:
     def test_non_positive_item_timeout_rejected(self, job, traces, timeout):
         with pytest.raises(SweepExecutionError, match="item_timeout"):
             run_sweep(traces[:3], BIDS, job, item_timeout=timeout)
-
-
-class TestMapTracesResilience:
-    def test_return_failures_gives_execution_result(self):
-        result = map_traces(lambda x: x + 1, [1, 2], return_failures=True)
-        assert result.results == [2, 3]
-        assert result.ok
-
-    def test_non_strict_collects_failures(self):
-        def fn(x):
-            if x == 1:
-                raise ValueError("nope")
-            return x
-
-        results = map_traces(fn, [0, 1, 2], strict=False)
-        assert results == [0, None, 2]
